@@ -1,10 +1,9 @@
-"""Legacy setup shim.
+"""Package metadata and legacy setup shim.
 
-The reproduction environment is offline and lacks the ``wheel`` package,
-so PEP 517 editable installs (`pip install -e .` with a build-system
-table) cannot build an editable wheel.  This shim lets pip fall back to
-the legacy ``setup.py develop`` code path, which needs only setuptools.
-All real metadata lives in ``pyproject.toml``.
+This file is the package's only build metadata; there is no
+``pyproject.toml``.  Without the ``wheel`` package (e.g. an offline
+environment), ``pip install -e .`` cannot build an editable wheel; the
+legacy ``python setup.py develop`` path needs only setuptools.
 """
 
 from setuptools import find_packages, setup

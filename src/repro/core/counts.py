@@ -8,10 +8,12 @@ answers the count queries the labeling machinery needs:
   reference path*, kept for parity testing of the batch kernel;
 * :meth:`PatternCounter.count_many` / :meth:`PatternCounter.counts_for_codes`
   — exact counts for a whole batch of patterns in one pass: patterns are
-  grouped by attribute tuple, each group is radix-encoded into one
-  ``int64`` key per pattern, and the keys are resolved against the cached
-  sorted key table of the group's joint counts (one ``searchsorted``
-  instead of one boolean-mask intersection per pattern);
+  grouped by attribute tuple and each group is radix-encoded into one
+  ``int64`` key per pattern.  A first batch over a set gathers the keys
+  from one dense ``bincount`` of the (uncached) data keys; a repeat batch
+  resolves them against the cached sorted key table of the set's joint
+  counts (one ``searchsorted`` instead of one boolean-mask intersection
+  per pattern);
 * :meth:`PatternCounter.joint_table` / :meth:`PatternCounter.joint_tables`
   — the joint count table over attribute set(s) ``S`` (exactly the ``PC``
   content of ``L_S(D)``), cached per attribute set;
@@ -21,18 +23,20 @@ answers the count queries the labeling machinery needs:
 * :meth:`PatternCounter.label_size_many` — ``|P_S|`` for a whole batch of
   attribute sets in one call: every set reuses the shared encoded-column
   cache (each attribute's ``int64`` column is materialized once per
-  counter, not once per subset containing it) and distinct combinations
-  are counted with a dense ``bincount`` whenever the radix key space is
-  small, instead of a sort per subset — the sizing kernel behind the
-  level-wise phase of every search strategy.
+  counter, not once per subset containing it), lattice siblings reuse
+  their shared prefix's keys, and distinct combinations are counted with
+  a dense ``bincount`` whenever the radix key space is small, instead of
+  a sort per subset — the sizing kernel behind the level-wise phase of
+  every search strategy.
 
 Value counts and value-count *fractions* (the independence factors of the
 estimation function) are cached per attribute; label sizes, joint tables
-and encoded key tables are cached per attribute set, because all are
-re-requested heavily during lattice search and batched estimation.  The
-counter assumes the dataset is immutable (datasets are); to profile a new
-snapshot of evolving data, call :meth:`PatternCounter.rebind`, which swaps
-the dataset *and* drops every cache — see :meth:`invalidate_caches`.
+and the key tables of repeatedly queried sets are cached per attribute
+set, because all are re-requested heavily during lattice search and
+batched estimation.  The counter assumes the dataset is immutable
+(datasets are); to profile a new snapshot of evolving data, call
+:meth:`PatternCounter.rebind`, which swaps the dataset *and* drops every
+cache — see :meth:`invalidate_caches`.
 """
 
 from __future__ import annotations
@@ -140,6 +144,28 @@ def radix_fits(schema, attributes: Sequence[str]) -> bool:
         radix *= card
     return True
 
+
+def _dense_radix(radix: int, n_keys: int) -> bool:
+    """True when a ``bincount`` over ``radix`` slots beats sorting keys.
+
+    One ``O(n + radix)`` bincount wins over an ``O(n log n)`` sort (or a
+    ``searchsorted`` pass) while the key space stays near the key count;
+    the absolute cap bounds the scratch allocation (int64 counts, 8 B
+    per slot).  Shared by every radix-key kernel of the counter.
+    """
+    return radix <= min(1 << 24, max(1 << 16, 8 * n_keys))
+
+
+def _distinct_count(keys: np.ndarray, radix: int) -> int:
+    """Number of distinct values among radix ``keys`` (all ``< radix``)."""
+    if keys.size == 0:
+        return 0
+    if _dense_radix(radix, keys.size):
+        return int(np.count_nonzero(np.bincount(keys, minlength=radix)))
+    sorted_keys = np.sort(keys)
+    return int(1 + np.count_nonzero(sorted_keys[1:] != sorted_keys[:-1]))
+
+
 #: The duck-typed counter interface every counting backend must serve.
 #: :class:`PatternCounter` is the reference implementation;
 #: :class:`repro.core.sharding.ShardedPatternCounter` is the merged
@@ -225,10 +251,11 @@ class PatternCounter:
         # Shared encoded-column cache, two levels.  Per attribute: the
         # code column widened to int64 plus its presence mask (reused by
         # every attribute set containing the attribute).  Per attribute
-        # set: the int64 row ids of the fully-present rows (plain Horner
-        # radix encoding), or None when the radix product overflows 64
-        # bits (the encoding is then not stable across calls, so
-        # dataset-side and query-side keys cannot be compared).
+        # set, written only when a repeat batch promotes the set to a key
+        # table: the int64 row ids of the fully-present rows (plain
+        # Horner radix encoding), or None when the radix product
+        # overflows 64 bits (the encoding is then not stable across
+        # calls, so dataset-side and query-side keys cannot be compared).
         self._columns64: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self._row_keys: dict[tuple[str, ...], np.ndarray | None] = {}
         # attribute set -> (sorted unique row ids, counts): the group-by
@@ -413,14 +440,16 @@ class PatternCounter:
     ) -> np.ndarray | None:
         """Integer row ids of the fully-present rows over ``attributes``.
 
-        The shared encoded-column cache of the batch kernel: each row of
-        the projection onto ``attributes`` with no missing value is
-        collapsed into one ``int64`` radix key.  Two rows share a key iff
-        they agree on every listed attribute, and a query pattern's key
-        (same encoding of its codes) matches exactly the rows that
-        satisfy it.  Returns ``None`` when the radix product overflows 64
-        bits (callers fall back to the scalar path).  Cached per
-        attribute tuple.
+        Each row of the projection onto ``attributes`` with no missing
+        value is collapsed into one ``int64`` radix key.  Two rows share
+        a key iff they agree on every listed attribute, and a query
+        pattern's key (same encoding of its codes) matches exactly the
+        rows that satisfy it.  Returns ``None`` when the radix product
+        overflows 64 bits (callers fall back to the scalar path).
+        Cached per attribute tuple, and populated only by the key-table
+        promotion of a repeat batch (:meth:`_key_table`): the one-shot
+        kernels use the uncached :meth:`_horner_keys`, so evaluated
+        search candidates leave no key array behind.
         """
         attrs = tuple(attributes)
         if attrs in self._row_keys:
@@ -428,48 +457,34 @@ class PatternCounter:
         if not self._radix_fits(attrs):
             self._row_keys[attrs] = None
             return None
-        schema = self._dataset.schema
-        keys: np.ndarray | None = None
-        present: np.ndarray | None = None
-        for attribute in attrs:
-            cached = self._columns64.get(attribute)
-            if cached is None:
-                codes = self._dataset.codes(attribute)
-                cached = (
-                    codes.astype(np.int64),
-                    codes != MISSING_CODE,
-                )
-                self._columns64[attribute] = cached
-            column, column_present = cached
-            card = schema[attribute].cardinality
-            # Horner accumulation over cached int64 columns; missing
-            # codes (-1) may pollute a key, but those rows are dropped
-            # by the presence mask below.
-            keys = column if keys is None else keys * card + column
-            present = (
-                column_present
-                if present is None
-                else (present & column_present)
-            )
-        assert keys is not None and present is not None
-        # Both caches are internal and read-only, so a single-attribute
-        # key array may alias the cached column.
-        keys = keys if present.all() else keys[present]
+        keys, _radix = self._horner_keys(attrs)
         self._row_keys[attrs] = keys
         return keys
+
+    def _column64(self, attribute: str) -> tuple[np.ndarray, np.ndarray]:
+        """``attribute``'s code column widened to ``int64`` and its
+        presence mask — the shared :attr:`_columns64` cache."""
+        cached = self._columns64.get(attribute)
+        if cached is None:
+            codes = self._dataset.codes(attribute)
+            cached = (codes.astype(np.int64), codes != MISSING_CODE)
+            self._columns64[attribute] = cached
+        return cached
 
     def _horner_keys(
         self, attributes: tuple[str, ...]
     ) -> tuple[np.ndarray, int]:
         """``(keys, radix)`` over ``attributes`` for the fully-present rows.
 
-        Same encoding as :meth:`encoded_rows` (so keys are comparable
-        with the dataset-side caches), but the per-set key array is
-        *not* cached — batched sizing touches ``C(n, k)`` subsets per
-        lattice level and caching every key array would swamp memory.
-        The per-attribute ``int64`` columns it accumulates over *are*
-        the shared :attr:`_columns64` cache.  The caller must have
-        checked :meth:`_radix_fits`.
+        Plain Horner radix encoding over the shared :attr:`_columns64`
+        cache, ``key = ((c₁·card₂ + c₂)·card₃ + c₃)…`` — the encoding
+        :func:`~repro.dataset.table.combine_codes` gives query codes, so
+        data-side and query-side keys compare directly.  The per-set key
+        array is *not* cached: sizing touches ``C(n, k)`` subsets per
+        lattice level and evaluation one set per candidate, and caching
+        every key array would swamp memory (and every pack).  The result
+        is read-only — a single-attribute key array aliases the cached
+        column.  The caller must have checked :meth:`_radix_fits`.
         """
         schema = self._dataset.schema
         keys: np.ndarray | None = None
@@ -478,12 +493,7 @@ class PatternCounter:
         radix = 1
         all_present = not self._dataset.has_missing
         for attribute in attributes:
-            cached = self._columns64.get(attribute)
-            if cached is None:
-                codes = self._dataset.codes(attribute)
-                cached = (codes.astype(np.int64), codes != MISSING_CODE)
-                self._columns64[attribute] = cached
-            column, column_present = cached
+            column, column_present = self._column64(attribute)
             card = schema[attribute].cardinality
             radix *= card
             if keys is None:
@@ -501,14 +511,14 @@ class PatternCounter:
                 np.multiply(keys, card, out=keys)
                 np.add(keys, column, out=keys)
             if not all_present:
+                # Missing codes (-1) may pollute a key, but those rows
+                # are dropped by the presence mask below.
                 present = (
                     column_present
                     if present is None
                     else (present & column_present)
                 )
         assert keys is not None  # attribute sets are non-empty
-        if borrowed:
-            keys = keys.copy()  # never hand out the cached column itself
         if present is not None and not present.all():
             keys = keys[present]
         return keys, radix
@@ -533,11 +543,9 @@ class PatternCounter:
         keys, radix = self._horner_keys(attrs)
         if keys.size == 0:
             return np.empty(0, dtype=np.int64)
-        # Dense path mirrors _distinct_key_count: while the key space
-        # stays near the row count, flatnonzero over one bincount emits
-        # the sorted distinct keys in O(n + radix) — the sort (or hash)
-        # a generic np.unique would pay dominates shard sizing.
-        if radix <= min(1 << 24, max(1 << 16, 8 * keys.size)):
+        # flatnonzero over one dense bincount emits the sorted distinct
+        # keys without the sort a generic np.unique would pay.
+        if _dense_radix(radix, keys.size):
             return np.flatnonzero(np.bincount(keys, minlength=radix))
         return np.unique(keys)
 
@@ -548,19 +556,26 @@ class PatternCounter:
 
         The batched sizing kernel of the search driver: equivalent to
         ``[self.label_size(S) for S in attribute_sets]`` — the scalar
-        path stays as the parity reference — but each subset's keys are
-        accumulated over the shared cached ``int64`` columns (no
-        per-subset ``codes_matrix`` stack, mask pass, or schema lookup
-        loop) and distinct combinations are counted with one dense
-        ``bincount`` whenever the subset's radix key space stays within
-        a small multiple of the row count (``O(n + radix)`` instead of
-        a sort).  Results land in (and are served from) the same
-        per-set cache as :meth:`label_size`.  Missing-value relations
-        and 64-bit radix overflows fall back to the scalar path per
-        subset.
+        path stays as the parity reference.  Keys are accumulated over
+        the shared cached ``int64`` columns, and consecutive sets
+        sharing every attribute but the last (lattice siblings, which
+        both the top-down BFS and ``itertools.combinations`` emit
+        adjacently) reuse the prefix's Horner keys: each such child
+        costs one multiply-add over the rows instead of ``|S|``.  Only
+        the latest prefix is kept alive.  Distinct combinations are
+        counted with one dense ``bincount`` while the radix key space
+        stays small (see :func:`_dense_radix`), else by a sort.  Results
+        land in (and are served from) the same per-set cache as
+        :meth:`label_size`.  Missing-value relations and 64-bit radix
+        overflows fall back to the scalar path per subset.
         """
+        schema = self._dataset.schema
         requested = [tuple(attrs) for attrs in attribute_sets]
         out = np.empty(len(requested), dtype=np.int64)
+        head: tuple[str, ...] | None = None
+        head_keys: np.ndarray | None = None
+        head_radix = 1
+        scratch: np.ndarray | None = None
         for position, attrs in enumerate(requested):
             size = self._label_sizes.get(attrs)
             if size is None:
@@ -571,25 +586,26 @@ class PatternCounter:
                 ):
                     size = self._dataset.n_distinct(list(attrs))
                 else:
-                    size = self._distinct_key_count(attrs)
+                    if attrs[:-1] != head:
+                        head = attrs[:-1]
+                        head_keys, head_radix = (
+                            self._horner_keys(head) if head else (None, 1)
+                        )
+                    column, _present = self._column64(attrs[-1])
+                    card = schema[attrs[-1]].cardinality
+                    if head_keys is None:
+                        keys = column
+                    else:
+                        # Every child's keys land in one scratch array:
+                        # no data-sized allocation per subset.
+                        if scratch is None:
+                            scratch = np.empty_like(column)
+                        keys = np.multiply(head_keys, card, out=scratch)
+                        np.add(keys, column, out=keys)
+                    size = _distinct_count(keys, head_radix * card)
                 self._label_sizes[attrs] = size
             out[position] = size
         return out
-
-    def _distinct_key_count(self, attrs: tuple[str, ...]) -> int:
-        """Distinct-combination count via radix keys (no-missing data)."""
-        keys, radix = self._horner_keys(attrs)
-        if keys.size == 0:
-            return 0
-        # Dense path: one O(n + radix) bincount beats the O(n log n)
-        # sort while the key space stays near the row count; the cap
-        # bounds the scratch allocation (int64 counts, 8 B per slot).
-        if radix <= min(1 << 24, max(1 << 16, 8 * keys.size)):
-            return int(np.count_nonzero(np.bincount(keys, minlength=radix)))
-        sorted_keys = np.sort(keys)
-        return int(
-            1 + np.count_nonzero(sorted_keys[1:] != sorted_keys[:-1])
-        )
 
     def _key_table(
         self, attributes: tuple[str, ...]
@@ -624,7 +640,7 @@ class PatternCounter:
         contribute keys, exactly as in the single-counter batch kernel.
         """
         attrs = tuple(attributes)
-        if self.encoded_rows(attrs) is None:
+        if not self._radix_fits(attrs):
             return None
         return self._key_table(attrs)
 
@@ -685,8 +701,7 @@ class PatternCounter:
         out = np.zeros(len(runs_rows), dtype=np.int64)
         if not runs_rows:
             return out
-        row_keys = self.encoded_rows(attrs)
-        if row_keys is None:
+        if not self._radix_fits(attrs):
             for j, runs in enumerate(runs_rows):
                 out[j] = self._count_runs_mask(attrs, runs)
             return out
@@ -713,15 +728,19 @@ class PatternCounter:
         """Exact counts ``c_D(p)`` for a homogeneous code batch.
 
         Every pattern binds exactly ``attributes``; row ``i`` of
-        ``combos`` holds pattern ``i``'s codes.  First batch over an
-        attribute set: one pass over the encoded row ids — the distinct
-        query keys are sorted and every row id is resolved against them
-        with ``searchsorted`` + ``np.bincount`` (no ``O(n log n)``
-        group-by of the data).  Repeat batches promote the attribute set
-        to a cached sorted key table, after which a batch costs one
-        binary search per *query* instead of a data pass.  Combinations
-        absent from the data count 0.  Falls back to the scalar mask path
-        only when the attribute set's radix product overflows 64 bits.
+        ``combos`` holds pattern ``i``'s codes, each within its
+        attribute's domain (``ValueError`` otherwise — an out-of-domain
+        code would alias another combination's radix key).  First batch
+        over an attribute set: one pass over uncached Horner row keys —
+        one dense ``bincount`` over the radix key space gathered at the
+        query keys, or, above the dense cap (:func:`_dense_radix`), every
+        row key resolved among the sorted distinct query keys with
+        ``searchsorted``.  Neither caches a per-set row-key array.
+        Repeat batches promote the attribute set to a cached sorted key
+        table, after which a batch costs one binary search per *query*
+        instead of a data pass.  Combinations absent from the data count
+        0.  Falls back to the scalar mask path only when the attribute
+        set's radix product overflows 64 bits.
         """
         attrs = tuple(attributes)
         combos = np.asarray(combos)
@@ -731,8 +750,31 @@ class PatternCounter:
             )
         if combos.shape[0] == 0:
             return np.empty(0, dtype=np.int64)
-        row_keys = self.encoded_rows(attrs)
-        if row_keys is None:
+        cards = [self._dataset.schema[a].cardinality for a in attrs]
+        # Column-major, so the per-attribute scans (the domain check
+        # here, the key accumulation in combine_codes) run contiguous.
+        combos = np.asfortranarray(combos)
+        low = combos.min(axis=0).tolist()
+        high = combos.max(axis=0).tolist()
+        for attribute, lo, hi, card in zip(attrs, low, high, cards):
+            if lo < 0 or hi >= card:
+                raise ValueError(
+                    f"code {lo if lo < 0 else hi} is outside the domain "
+                    f"of attribute {attribute!r} (codes 0..{card - 1})"
+                )
+        return self._counts_for_valid_codes(attrs, combos, cards)
+
+    def _counts_for_valid_codes(
+        self,
+        attrs: tuple[str, ...],
+        combos: np.ndarray,
+        cards: Sequence[int],
+    ) -> np.ndarray:
+        """:meth:`counts_for_codes` for a non-empty batch whose codes are
+        known to lie within their domains (``cards``) — e.g. encoded
+        from pattern values, as in :meth:`count_many`."""
+        # Only radix-fitting sets are ever promoted to a key table.
+        if attrs not in self._key_tables and not self._radix_fits(attrs):
             return np.array(
                 [
                     self.count(self.pattern_from_codes(attrs, row))
@@ -740,7 +782,6 @@ class PatternCounter:
                 ],
                 dtype=np.int64,
             )
-        cards = [self._dataset.schema[a].cardinality for a in attrs]
         query_keys = combine_codes(combos, cards)
 
         self._key_queries[attrs] = self._key_queries.get(attrs, 0) + 1
@@ -753,7 +794,11 @@ class PatternCounter:
             found = keys[idx_clamped] == query_keys
             return np.where(found, counts[idx_clamped], 0).astype(np.int64)
 
-        # One-shot batch: group the data by *query* key instead of
+        row_keys, radix = self._horner_keys(attrs)
+        if _dense_radix(radix, row_keys.size):
+            counts = np.bincount(row_keys, minlength=radix)
+            return counts[query_keys].astype(np.int64, copy=False)
+        # Sparse key space: group the data by *query* key instead of
         # sorting the data — O(n log m) for m distinct queries.
         unique_q, inverse = np.unique(query_keys, return_inverse=True)
         if row_keys.size == 0:
@@ -784,17 +829,21 @@ class PatternCounter:
         if not patterns:
             return out
         schema = self._dataset.schema
+
+        def counts(attrs, combos):
+            # Codes encoded from pattern values are in-domain already.
+            cards = [schema[a].cardinality for a in attrs]
+            return self._counts_for_valid_codes(attrs, combos, cards)
+
         equality, ranged = split_by_ranges(patterns)
         if not ranged:
             for attrs, combos, indices in encode_groups(patterns, schema):
-                out[indices] = self.counts_for_codes(attrs, combos)
+                out[indices] = counts(attrs, combos)
             return out
         for attrs, combos, indices in encode_groups(
             [patterns[i] for i in equality], schema
         ):
-            out[[equality[j] for j in indices]] = self.counts_for_codes(
-                attrs, combos
-            )
+            out[[equality[j] for j in indices]] = counts(attrs, combos)
         for order, runs_rows, indices in encode_range_groups(
             [patterns[i] for i in ranged], schema
         ):

@@ -166,6 +166,27 @@ class TestBatchCounting:
                 ["gender"], np.zeros((2, 2), dtype=np.int32)
             )
 
+    def test_counts_for_codes_rejects_out_of_domain_codes(self):
+        """(1, -1) radix-encodes to the key of (0, 2): it must not alias.
+
+        With A in {x, y} and B in {p, q, r}, the key of (1, -1) is
+        1*3 - 1 = 2, the key of (x, r) — which occurs once.  Both the
+        first-batch and the repeat (key-table) path must refuse it.
+        """
+        import numpy as np
+
+        data = Dataset.from_columns(
+            {"A": ["x", "y", "x", "y"], "B": ["r", "p", "q", "q"]},
+            domains={"A": ("x", "y"), "B": ("p", "q", "r")},
+        )
+        counter = PatternCounter(data)
+        good = np.array([[0, 2]])
+        for combo, bad_attr in (([1, -1], "'B'"), ([2, 0], "'A'")):
+            for _ in range(2):  # first batch, then the repeat path
+                with pytest.raises(ValueError, match=bad_attr):
+                    counter.counts_for_codes(("A", "B"), np.array([combo]))
+                assert list(counter.counts_for_codes(("A", "B"), good)) == [1]
+
     def test_count_many_with_missing_values(self):
         data = Dataset.from_columns(
             {

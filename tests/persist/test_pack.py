@@ -34,6 +34,7 @@ from repro import (
     write_pack,
 )
 from repro.api.errors import ArtifactError, SessionError
+from repro.datasets import load_dataset
 from repro.persist.pack import MANIFEST_NAME, PackedPatternCounter
 from repro.serve.protocol import BadRequestError, UnsupportedOperationError
 from repro.serve.store import LabelStore
@@ -339,6 +340,30 @@ class TestSessionPack:
         bare = LabelingSession.load(envelope)
         with pytest.raises(SessionError, match="no counter state"):
             bare.to_pack(tmp_path / "pack")
+
+    def test_fit_pack_holds_no_per_candidate_row_keys(self, tmp_path):
+        """Evaluated candidates leave no row-key array in the pack.
+
+        The search error-evaluates every surviving candidate once; a
+        one-shot count must not cache (and so persist) a per-set row-key
+        array, or the pack grows by one array per candidate.
+        """
+        data = load_dataset("compas", n_rows=2_000, seed=3)
+        session = LabelingSession.fit(data, bound=40)
+        assert session.result.stats.labels_evaluated > 1
+        session.to_pack(tmp_path / "pack")
+        manifest = json.loads((tmp_path / "pack" / MANIFEST_NAME).read_text())
+        roles = [
+            meta["role"]
+            for shard in manifest["shards"]
+            for meta in shard["arrays"]
+        ]
+        assert roles.count("codes") == 1
+        assert "row_keys" not in roles
+        shard_bytes = sum(shard["bytes"] for shard in manifest["shards"])
+        codes_bytes = data.codes_matrix().nbytes
+        # The code matrix dominates; warm tables add only label-sized data.
+        assert shard_bytes < 2 * codes_bytes
 
     def test_update_detaches_stale_pack(self, tmp_path, session, figure2):
         session.to_pack(tmp_path / "pack")

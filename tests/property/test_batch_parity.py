@@ -11,6 +11,8 @@ workloads, and every batch answer is checked against its scalar twin.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -358,3 +360,111 @@ def test_tabular_pattern_set_dispatch_matches_scalar(data):
         np.testing.assert_allclose(
             via_set, scalar, rtol=1e-9, atol=1e-12, err_msg=name
         )
+
+
+# -- counts_for_codes: first batch == repeat batch == scalar --------------------
+
+
+@st.composite
+def wide_datasets(draw, max_rows: int = 24, allow_missing=False):
+    """A small relation whose two-attribute radix exceeds the dense cap.
+
+    Domains of 300 values put the radix of any pair at 90,000 — above
+    the 65,536-slot floor of the dense ``bincount`` cap — so first
+    batches take the sorted-query (``searchsorted``) path.  Rows draw
+    from the first few values only, so combinations repeat.
+    """
+    names = ["A0", "A1", "A2"]
+    domain = tuple(f"v{j}" for j in range(300))
+    n_rows = draw(st.integers(1, max_rows))
+    values = st.sampled_from(
+        list(domain[:4]) + ([None] if allow_missing else [])
+    )
+    columns = {
+        name: draw(st.lists(values, min_size=n_rows, max_size=n_rows))
+        for name in names
+    }
+    return Dataset.from_columns(
+        columns, domains={name: domain for name in names}
+    )
+
+
+def _code_batch(draw, data: Dataset):
+    """An attribute tuple plus a random code batch over its domains.
+
+    Codes are drawn from the whole domain (bounded to its first values
+    for wide domains, so some hit the data), so batches mix present and
+    absent combinations, and may repeat rows.
+    """
+    attrs = _subsets_of(draw, data)
+    cards = [min(data.schema[a].cardinality, 6) for a in attrs]
+    n = draw(st.integers(1, 10))
+    combos = np.array(
+        [[draw(st.integers(0, card - 1)) for card in cards] for _ in range(n)],
+        dtype=np.int64,
+    )
+    return attrs, combos
+
+
+def _assert_code_paths_agree(data: Dataset, attrs, combos) -> None:
+    counter = PatternCounter(data)
+    scalar = [
+        counter.count(counter.pattern_from_codes(attrs, row))
+        for row in combos
+    ]
+    assert list(counter.counts_for_codes(attrs, combos)) == scalar  # first
+    assert list(counter.counts_for_codes(attrs, combos)) == scalar  # repeat
+
+
+@SETTINGS
+@given(st.data())
+def test_counts_for_codes_paths_match_scalar(data_strategy):
+    data = data_strategy.draw(datasets(allow_missing=True))
+    attrs, combos = _code_batch(data_strategy.draw, data)
+    _assert_code_paths_agree(data, attrs, combos)
+
+
+@SETTINGS
+@given(st.data())
+def test_counts_for_codes_paths_match_scalar_above_dense_cap(data_strategy):
+    data = data_strategy.draw(
+        wide_datasets(allow_missing=data_strategy.draw(st.booleans()))
+    )
+    attrs, combos = _code_batch(data_strategy.draw, data)
+    _assert_code_paths_agree(data, attrs, combos)
+
+
+# -- label_size_many == looped label_size ---------------------------------------
+
+
+@SETTINGS
+@given(st.data())
+def test_label_size_many_matches_scalar_in_any_order(data_strategy):
+    """Prefix sharing must not depend on sibling adjacency.
+
+    The batch mixes every lattice subset (siblings adjacent, as the
+    search emits them) with a shuffled, repeated sample of the same
+    subsets (siblings apart, prefixes revisited) and singletons.
+    """
+    data = data_strategy.draw(
+        datasets(allow_missing=data_strategy.draw(st.booleans()))
+    )
+    names = list(data.attribute_names)
+    lattice = [
+        subset
+        for k in range(1, len(names) + 1)
+        for subset in itertools.combinations(names, k)
+    ]
+    shuffled = data_strategy.draw(st.permutations(lattice))
+    repeats = data_strategy.draw(
+        st.lists(st.sampled_from(lattice), max_size=len(lattice))
+    )
+    batch = lattice + list(shuffled) + repeats
+    reference = PatternCounter(data)
+    expected = [reference.label_size(subset) for subset in batch]
+    assert list(PatternCounter(data).label_size_many(batch)) == expected
+    # Shuffled alone on a cold counter: every size comes from the
+    # kernel (no cache hits), with prefixes switching and recurring.
+    assert list(PatternCounter(data).label_size_many(shuffled)) == [
+        reference.label_size(subset) for subset in shuffled
+    ]
