@@ -248,16 +248,12 @@ class PatternCounter:
         self._joint_tables: dict[
             tuple[str, ...], tuple[np.ndarray, np.ndarray]
         ] = {}
-        # Shared encoded-column cache, two levels.  Per attribute: the
-        # code column widened to int64 plus its presence mask (reused by
-        # every attribute set containing the attribute).  Per attribute
-        # set, written only when a repeat batch promotes the set to a key
-        # table: the int64 row ids of the fully-present rows (plain
-        # Horner radix encoding), or None when the radix product
-        # overflows 64 bits (the encoding is then not stable across
-        # calls, so dataset-side and query-side keys cannot be compared).
+        # Shared encoded-column cache, per attribute: the code column
+        # widened to int64 plus its presence mask, both read-only (reused
+        # by every attribute set containing the attribute).  Per-set row
+        # keys are never cached: one is ~8 bytes per row, and a long-lived
+        # counter (drift checks, search) touches thousands of sets.
         self._columns64: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        self._row_keys: dict[tuple[str, ...], np.ndarray | None] = {}
         # attribute set -> (sorted unique row ids, counts): the group-by
         # of the encoded rows, built lazily on the second batch over the
         # same attribute set (a one-shot batch is cheaper via bincount).
@@ -284,7 +280,6 @@ class PatternCounter:
         self._full_rows = None
         self._joint_tables.clear()
         self._columns64.clear()
-        self._row_keys.clear()
         self._key_tables.clear()
         self._key_queries.clear()
         self._key_cumsums.clear()
@@ -321,18 +316,15 @@ class PatternCounter:
 
         The code matrix is the mandatory payload; with
         ``include_caches`` the warm caches the batch kernel built —
-        radix row-id tables, sorted key tables, joint tables — ride
-        along so a reopened counter starts where this one left off.
-        The per-attribute ``int64`` columns (:attr:`_columns64`) are
-        *not* persisted: they are a cheap widening of the code matrix.
+        sorted key tables and joint tables — ride along so a reopened
+        counter starts where this one left off.  The per-attribute
+        ``int64`` columns (:attr:`_columns64`) are *not* persisted: they
+        are a cheap widening of the code matrix.
         """
         arrays: list[tuple[str, tuple[str, ...] | None, np.ndarray]] = [
             ("codes", None, self._dataset.codes_matrix())
         ]
         if include_caches:
-            for attrs, keys in self._row_keys.items():
-                if keys is not None:  # None marks a radix-overflow set
-                    arrays.append(("row_keys", attrs, keys))
             for attrs, (keys, counts) in self._key_tables.items():
                 arrays.append(("key_keys", attrs, keys))
                 arrays.append(("key_counts", attrs, counts))
@@ -343,7 +335,6 @@ class PatternCounter:
 
     def _install_persisted_caches(
         self,
-        row_keys: Mapping[tuple[str, ...], np.ndarray],
         key_tables: Mapping[tuple[str, ...], tuple[np.ndarray, np.ndarray]],
         joint_tables: Mapping[tuple[str, ...], tuple[np.ndarray, np.ndarray]],
     ) -> None:
@@ -355,7 +346,6 @@ class PatternCounter:
         (maintenance, rebinding) simply drops the views — copy-on-write
         at whole-cache granularity.
         """
-        self._row_keys.update(row_keys)
         self._key_tables.update(key_tables)
         self._joint_tables.update(joint_tables)
 
@@ -445,29 +435,26 @@ class PatternCounter:
         a key iff they agree on every listed attribute, and a query
         pattern's key (same encoding of its codes) matches exactly the
         rows that satisfy it.  Returns ``None`` when the radix product
-        overflows 64 bits (callers fall back to the scalar path).
-        Cached per attribute tuple, and populated only by the key-table
-        promotion of a repeat batch (:meth:`_key_table`): the one-shot
-        kernels use the uncached :meth:`_horner_keys`, so evaluated
-        search candidates leave no key array behind.
+        overflows 64 bits (callers fall back to the scalar path).  Not
+        cached: each call re-encodes (see :meth:`_horner_keys`), and the
+        result may be a read-only view of the shared column cache.
         """
         attrs = tuple(attributes)
-        if attrs in self._row_keys:
-            return self._row_keys[attrs]
         if not self._radix_fits(attrs):
-            self._row_keys[attrs] = None
             return None
-        keys, _radix = self._horner_keys(attrs)
-        self._row_keys[attrs] = keys
-        return keys
+        return self._horner_keys(attrs)[0]
 
     def _column64(self, attribute: str) -> tuple[np.ndarray, np.ndarray]:
         """``attribute``'s code column widened to ``int64`` and its
-        presence mask — the shared :attr:`_columns64` cache."""
+        presence mask — the shared :attr:`_columns64` cache.  Both are
+        read-only, since kernels lend them out (a write would corrupt
+        every later batch count over the attribute)."""
         cached = self._columns64.get(attribute)
         if cached is None:
             codes = self._dataset.codes(attribute)
             cached = (codes.astype(np.int64), codes != MISSING_CODE)
+            for array in cached:
+                array.setflags(write=False)
             self._columns64[attribute] = cached
         return cached
 
@@ -481,10 +468,12 @@ class PatternCounter:
         :func:`~repro.dataset.table.combine_codes` gives query codes, so
         data-side and query-side keys compare directly.  The per-set key
         array is *not* cached: sizing touches ``C(n, k)`` subsets per
-        lattice level and evaluation one set per candidate, and caching
-        every key array would swamp memory (and every pack).  The result
-        is read-only — a single-attribute key array aliases the cached
-        column.  The caller must have checked :meth:`_radix_fits`.
+        lattice level, evaluation one set per candidate and every drift
+        check a few hundred fresh sets, and caching every key array would
+        swamp memory (and every pack).  A single-attribute result with no
+        missing values is the cached column itself, which is read-only;
+        callers must not write to any result.  The caller must have
+        checked :meth:`_radix_fits`.
         """
         schema = self._dataset.schema
         keys: np.ndarray | None = None
@@ -612,14 +601,14 @@ class PatternCounter:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Sorted group-by ``(unique row ids, counts)`` over ``attributes``.
 
-        Built from :meth:`encoded_rows` (one ``np.unique``), cached, and
-        thereafter answers any batch in ``O(m log k)`` — the caller must
-        have checked that the radix encoding fits.
+        Built from the uncached :meth:`_horner_keys` (one ``np.unique``),
+        cached, and thereafter answers any batch in ``O(m log k)`` — the
+        caller must have checked that the radix encoding fits.  Only this
+        small table is kept; the data-sized row keys are dropped.
         """
         table = self._key_tables.get(attributes)
         if table is None:
-            row_keys = self.encoded_rows(attributes)
-            assert row_keys is not None  # caller checked the radix fit
+            row_keys, _radix = self._horner_keys(attributes)
             keys, counts = np.unique(row_keys, return_counts=True)
             table = (keys, counts.astype(np.int64, copy=False))
             self._key_tables[attributes] = table

@@ -15,11 +15,11 @@ search, cache warming) and cheap to store.  The directory layout:
 
 Each ``shard-NNNN.bin`` is a concatenation of standard ``.npy`` blocks
 (``np.lib.format.write_array`` version 1.0, never pickled), one per
-persisted array: the encoded code matrix, cached radix row-id tables,
-sorted key tables, and joint count tables.  The manifest records every
-block's role, dtype, shape, and byte offset, so reopening maps each
-array straight off the file with :class:`numpy.memmap` — no
-deserialization pass, and the OS only pages in what queries touch.
+persisted array: the encoded code matrix, sorted key tables, and joint
+count tables.  The manifest records every block's role, dtype, shape,
+and byte offset, so reopening maps each array straight off the file
+with :class:`numpy.memmap` — no deserialization pass, and the OS only
+pages in what queries touch.
 
 Laziness and trust are reconciled per *shard*: opening a pack reads
 only the manifest (plus one ``os.stat`` per referenced file, which
@@ -82,6 +82,9 @@ MANIFEST_NAME = "manifest.json"
 #: Array roles a shard file may carry.  ``codes`` is the dataset itself
 #: (mandatory); the rest are the warm caches of
 #: :class:`~repro.core.counts.PatternCounter`, keyed by attribute tuple.
+#: ``row_keys`` (per-set radix row ids) is read-only legacy: older
+#: writers emitted it, so the reader accepts it and checksums it with
+#: the rest of the file, but never maps or installs it.
 _ROLES = (
     "codes",
     "row_keys",
@@ -195,9 +198,9 @@ def write_pack(
         self-contained deployment ``repro serve --artifact-dir`` can
         publish without touching shard payloads.
     include_caches:
-        Persist the counter's warm caches (radix row-id tables, sorted
-        key tables, joint tables) alongside the code matrices.  ``False``
-        packs the datasets alone — smaller files, cold caches.
+        Persist the counter's warm caches (sorted key tables, joint
+        tables) alongside the code matrices.  ``False`` packs the
+        datasets alone — smaller files, cold caches.
     """
     if isinstance(counter, ShardedPatternCounter):
         shard_counters: Sequence[PatternCounter] = counter.shard_counters
@@ -316,19 +319,19 @@ class _ShardHandle:
         """
         self._reader._verify_file(self._entry, kind="shard")
 
-    def materialize(self) -> tuple[Dataset, dict, dict, dict]:
+    def materialize(self) -> tuple[Dataset, dict, dict]:
         """Verify the shard file once and map every array read-only.
 
-        Returns ``(dataset, row_keys, key_tables, joint_tables)`` — the
-        dataset plus the persisted warm caches, all backed by read-only
-        memmaps of the shard file.
+        Returns ``(dataset, key_tables, joint_tables)`` — the dataset
+        plus the persisted warm caches, all backed by read-only memmaps
+        of the shard file.
         """
         with self._lock:
             if self._materialized is None:
                 self._materialized = self._load()
             return self._materialized
 
-    def _load(self) -> tuple[Dataset, dict, dict, dict]:
+    def _load(self) -> tuple[Dataset, dict, dict]:
         reader = self._reader
         entry = self._entry
         file_path = reader.path / entry["file"]
@@ -336,7 +339,6 @@ class _ShardHandle:
         reader.stats.shard_loads.append(entry["file"])
 
         codes: np.ndarray | None = None
-        row_keys: dict[tuple[str, ...], np.ndarray] = {}
         key_parts: dict[str, dict[tuple[str, ...], np.ndarray]] = {
             "key_keys": {},
             "key_counts": {},
@@ -351,15 +353,13 @@ class _ShardHandle:
                         f"pack shard file {file_path} carries an unknown "
                         f"array role {role!r}"
                     )
+                if role == "row_keys":
+                    continue  # legacy cache, never installed
                 array = self._map_array(file_path, meta)
                 if role == "codes":
                     codes = array
-                    continue
-                attrs = tuple(meta["attributes"])
-                if role == "row_keys":
-                    row_keys[attrs] = array
                 else:
-                    key_parts[role][attrs] = array
+                    key_parts[role][tuple(meta["attributes"])] = array
         except ArtifactError:
             raise
         except (KeyError, TypeError, ValueError, OSError) as exc:
@@ -394,7 +394,7 @@ class _ShardHandle:
             "joint",
             file_path,
         )
-        return dataset, row_keys, key_tables, joint_tables
+        return dataset, key_tables, joint_tables
 
     def _map_array(self, file_path: Path, meta: dict) -> np.ndarray:
         dtype = np.dtype(meta["dtype"])
@@ -450,11 +450,9 @@ class PackedPatternCounter(PatternCounter):
         # read materializes the shard (checksum + mmap) and installs the
         # persisted warm caches; afterwards normal lookup wins.
         if name == "_dataset":
-            dataset, row_keys, key_tables, joint_tables = (
-                self._handle.materialize()
-            )
+            dataset, key_tables, joint_tables = self._handle.materialize()
             self._dataset = dataset
-            self._install_persisted_caches(row_keys, key_tables, joint_tables)
+            self._install_persisted_caches(key_tables, joint_tables)
             return dataset
         raise AttributeError(
             f"{type(self).__name__!r} object has no attribute {name!r}"

@@ -187,6 +187,22 @@ class TestBatchCounting:
                     counter.counts_for_codes(("A", "B"), np.array([combo]))
                 assert list(counter.counts_for_codes(("A", "B"), good)) == [1]
 
+    def test_lent_key_arrays_are_read_only(self):
+        """A single-attribute key array is the shared cached column.
+
+        A caller writing through it must get ``ValueError``, not silently
+        corrupt every later batch count over the attribute.
+        """
+        data = Dataset.from_columns(
+            {"A": ["x", "x", "y", "y"], "B": ["p", "q", "p", "q"]}
+        )
+        counter = PatternCounter(data)
+        patterns = [Pattern({"A": "x"}), Pattern({"A": "x", "B": "p"})]
+        with pytest.raises(ValueError):
+            counter.encoded_rows(("A",))[:] = 1
+        assert list(counter.count_many(patterns)) == [2, 1]
+        assert counter.count(patterns[0]) == 2
+
     def test_count_many_with_missing_values(self):
         data = Dataset.from_columns(
             {

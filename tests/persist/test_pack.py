@@ -139,6 +139,47 @@ class TestRoundTrip:
         assert summary["shards"] == 1
         assert summary["total_rows"] == 18
 
+    def test_legacy_row_keys_role_still_opens(
+        self, tmp_path, monkeypatch, figure2, figure2_counter
+    ):
+        """Older writers persisted per-set ``row_keys`` arrays.
+
+        Such packs must still open, verify and count exactly; the reader
+        never installs the legacy arrays, so re-packing drops the role.
+        """
+        attrs = ("gender", "race")
+        legacy_keys = figure2_counter.encoded_rows(attrs).copy()
+        persist = PatternCounter._persist_arrays
+
+        def with_row_keys(self, *, include_caches=True):
+            arrays = persist(self, include_caches=include_caches)
+            return arrays + [("row_keys", attrs, legacy_keys)]
+
+        def roles(pack_dir):
+            manifest = json.loads((pack_dir / MANIFEST_NAME).read_text())
+            return [
+                meta["role"]
+                for shard in manifest["shards"]
+                for meta in shard["arrays"]
+            ]
+
+        monkeypatch.setattr(PatternCounter, "_persist_arrays", with_row_keys)
+        legacy = figure2_counter.dump(tmp_path / "legacy")
+        monkeypatch.undo()
+        assert "row_keys" in roles(legacy)
+        assert verify_pack(legacy)["shards"] == 1
+        reopened = PatternCounter.from_pack(legacy)
+        np.testing.assert_array_equal(
+            reopened.count_many(PATTERNS),
+            PatternCounter(figure2).count_many(PATTERNS),
+        )
+        repacked = reopened.dump(tmp_path / "repacked")
+        assert "row_keys" not in roles(repacked)
+        np.testing.assert_array_equal(
+            PatternCounter.from_pack(repacked).count_many(PATTERNS),
+            PatternCounter(figure2).count_many(PATTERNS),
+        )
+
     def test_write_pack_rejects_non_counters(self, tmp_path):
         with pytest.raises(ArtifactError, match="cannot pack"):
             write_pack(tmp_path / "pack", object())

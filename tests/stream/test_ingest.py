@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro.core.label import build_label
 from repro.core.maintenance import apply_deletes, apply_inserts
 from repro.core.pattern import Pattern
 from repro.dataset.table import Dataset
+from repro.persist.pack import MANIFEST_NAME
 from repro.stream import StreamError, StreamIngestor, WriteAheadLog
 
 pytestmark = pytest.mark.stream
@@ -238,3 +241,56 @@ class TestConfig:
         config = StreamConfig()
         assert config.compact_every == 16
         assert config.fsync is True
+
+
+class TestDriftCheckMemory:
+    """Drift checks recount fresh attribute sets on the live counter.
+
+    Each check must leave at most a small key table per set behind,
+    never a data-sized row-key array: those would grow the live counter
+    without bound and ride along into every compaction checkpoint.
+    """
+
+    WIDE = ["a", "b", "c", "d", "e", "f"]
+
+    def _wide(self, rng, n) -> Dataset:
+        return Dataset.from_rows(
+            self.WIDE,
+            [[int(v) for v in row] for row in rng.integers(0, 3, (n, 6))],
+        )
+
+    def test_checkpoints_stay_near_code_matrix_size(self, tmp_path, rng):
+        counter = PatternCounter(self._wide(rng, 2_000))
+        pack_dir = tmp_path / "pack"
+        ingestor = StreamIngestor(
+            build_label(counter, ("a", "b")),
+            wal=WriteAheadLog(tmp_path / "wal"),
+            counter=counter,
+            config=StreamConfig(
+                # Never stale: every check recounts, none re-searches.
+                drift_threshold=1e9,
+                drift_check_every=1,
+                drift_sample=64,
+                compact_every=2,
+                pack_dir=str(pack_dir),
+            ),
+        )
+        checks = 0
+        for _ in range(12):
+            status = ingestor.submit(inserted=self._wide(rng, 50))
+            checks += status.drift is not None
+            assert ingestor.join(timeout=30)
+        assert ingestor.compact_error is None
+        assert checks >= 10
+        assert ingestor.compactions >= 2
+
+        manifest = json.loads((pack_dir / MANIFEST_NAME).read_text())
+        arrays = [meta for shard in manifest["shards"] for meta in shard["arrays"]]
+        assert "row_keys" not in {meta["role"] for meta in arrays}
+        table_bytes = sum(
+            np.dtype(meta["dtype"]).itemsize * int(np.prod(meta["shape"]))
+            for meta in arrays
+            if meta["role"] in ("codes", "key_keys", "key_counts")
+        )
+        shard_bytes = sum(shard["bytes"] for shard in manifest["shards"])
+        assert shard_bytes < 2 * table_bytes
