@@ -58,9 +58,10 @@ from repro import (  # noqa: E402
     ShardedPatternCounter,
     build_label,
 )
-from repro.core.errors import evaluate_labels  # noqa: E402
+from repro.core.errors import evaluate_label, evaluate_labels  # noqa: E402
 from repro.core.errors import ErrorSummary
 from repro.core.estimator import LabelEstimator  # noqa: E402
+from repro.core.patternsets import full_pattern_set  # noqa: E402
 from repro.core.search import top_down_search  # noqa: E402
 from repro.core.workload import (  # noqa: E402
     random_mixed_workload,
@@ -215,6 +216,44 @@ def run(rows: int, queries: int, rounds: int, bound: int) -> dict:
             "rows": rows,
             "queries": queries,
             "candidates": len(candidates),
+            "bound": bound,
+        },
+    )
+
+    # 3b. The same evaluation phase on P_A, the pattern set of every
+    #     fit: one evaluate_label call per candidate (a counting-kernel
+    #     pass each) vs the batch evaluator's weighted bincount over the
+    #     distinct rows.  Summaries must be identical, not just close.
+    full_candidates = top_down_search(
+        PatternCounter(dataset), bound
+    ).candidates
+    scalar_full_counter = PatternCounter(dataset)
+    scalar_full = full_pattern_set(scalar_full_counter)
+    batch_full_counter = PatternCounter(dataset)
+    batch_full = full_pattern_set(batch_full_counter)
+
+    def scalar_full_eval() -> list[ErrorSummary]:
+        return [
+            evaluate_label(scalar_full_counter, c, scalar_full)
+            for c in full_candidates
+        ]
+
+    def batch_full_eval() -> list[ErrorSummary]:
+        return evaluate_labels(batch_full_counter, full_candidates, batch_full)
+
+    if scalar_full_eval() != batch_full_eval():
+        raise AssertionError(
+            "scenario evaluate_candidates/full_pattern_set: summaries differ"
+        )
+    scenarios["evaluate_candidates/full_pattern_set"] = _scenario(
+        "evaluate_candidates/full_pattern_set",
+        lambda: [s.max_abs for s in scalar_full_eval()],
+        lambda: [s.max_abs for s in batch_full_eval()],
+        rounds,
+        {
+            "rows": rows,
+            "patterns": len(batch_full),
+            "candidates": len(full_candidates),
             "bound": bound,
         },
     )

@@ -21,9 +21,10 @@ answers the count queries the labeling machinery needs:
   combinations over ``S`` with positive count, i.e. the size charged
   against the label budget ``Bs``;
 * :meth:`PatternCounter.label_size_many` — ``|P_S|`` for a whole batch of
-  attribute sets in one call: every set reuses the shared encoded-column
-  cache (each attribute's ``int64`` column is materialized once per
-  counter, not once per subset containing it), lattice siblings reuse
+  attribute sets in one call: every set reuses cached ``int64`` columns
+  (each attribute's column is materialized once per counter, not once
+  per subset containing it; those of the distinct full rows once
+  ``P_A`` is cached), lattice siblings reuse
   their shared prefix's keys, and distinct combinations are counted with
   a dense ``bincount`` whenever the radix key space is small, instead of
   a sort per subset — the sizing kernel behind the level-wise phase of
@@ -41,6 +42,7 @@ cache — see :meth:`invalidate_caches`.
 
 from __future__ import annotations
 
+import math
 from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -156,6 +158,31 @@ def _dense_radix(radix: int, n_keys: int) -> bool:
     return radix <= min(1 << 24, max(1 << 16, 8 * n_keys))
 
 
+def _horner(columns: Iterable[np.ndarray], cards: Iterable[int]) -> np.ndarray:
+    """Horner radix keys ``((c₁·card₂ + c₂)·card₃ + c₃)…`` over ``int64``
+    columns — the encoding :func:`~repro.dataset.table.combine_codes`
+    gives query codes.  A single column is returned as is (callers lend
+    read-only cached columns, so nothing may write to the result);
+    otherwise the accumulator materializes on the *second* column,
+    whose multiply produces it in one array pass instead of the
+    copy-then-multiply-in-place two."""
+    keys: np.ndarray | None = None
+    borrowed = False  # keys still aliases the first column
+    for column, card in zip(columns, cards):
+        if keys is None:
+            keys = column
+            borrowed = True
+        elif borrowed:
+            keys = keys * card
+            np.add(keys, column, out=keys)
+            borrowed = False
+        else:
+            np.multiply(keys, card, out=keys)
+            np.add(keys, column, out=keys)
+    assert keys is not None  # attribute sets are non-empty
+    return keys
+
+
 def _distinct_count(keys: np.ndarray, radix: int) -> int:
     """Number of distinct values among radix ``keys`` (all ``< radix``)."""
     if keys.size == 0:
@@ -245,6 +272,9 @@ class PatternCounter:
         self._fractions: dict[str, np.ndarray] = {}
         self._label_sizes: dict[tuple[str, ...], int] = {}
         self._full_rows: tuple[np.ndarray, np.ndarray] | None = None
+        # _full_rows' combos as read-only column-major int64: the sizing
+        # kernel's key columns once P_A is cached.
+        self._full_codes64: np.ndarray | None = None
         self._joint_tables: dict[
             tuple[str, ...], tuple[np.ndarray, np.ndarray]
         ] = {}
@@ -278,6 +308,7 @@ class PatternCounter:
         self._fractions.clear()
         self._label_sizes.clear()
         self._full_rows = None
+        self._full_codes64 = None
         self._joint_tables.clear()
         self._columns64.clear()
         self._key_tables.clear()
@@ -476,41 +507,19 @@ class PatternCounter:
         checked :meth:`_radix_fits`.
         """
         schema = self._dataset.schema
-        keys: np.ndarray | None = None
-        borrowed = False  # keys still aliases a cached column
-        present: np.ndarray | None = None
-        radix = 1
-        all_present = not self._dataset.has_missing
-        for attribute in attributes:
-            column, column_present = self._column64(attribute)
-            card = schema[attribute].cardinality
-            radix *= card
-            if keys is None:
-                # Borrow the first column; the accumulator materializes
-                # on the *second* attribute, whose multiply then
-                # produces it in one array pass instead of the
-                # copy-then-multiply-in-place two.
-                keys = column
-                borrowed = True
-            elif borrowed:
-                keys = keys * card  # allocates; the cache stays intact
-                np.add(keys, column, out=keys)
-                borrowed = False
-            else:
-                np.multiply(keys, card, out=keys)
-                np.add(keys, column, out=keys)
-            if not all_present:
-                # Missing codes (-1) may pollute a key, but those rows
-                # are dropped by the presence mask below.
-                present = (
-                    column_present
-                    if present is None
-                    else (present & column_present)
-                )
-        assert keys is not None  # attribute sets are non-empty
-        if present is not None and not present.all():
-            keys = keys[present]
-        return keys, radix
+        cards = [schema[a].cardinality for a in attributes]
+        keys = _horner(
+            (self._column64(a)[0] for a in attributes), cards
+        )
+        if self._dataset.has_missing:
+            # Missing codes (-1) may pollute a key, but those rows are
+            # dropped by the presence mask.
+            present = np.logical_and.reduce(
+                [self._column64(a)[1] for a in attributes]
+            )
+            if not present.all():
+                keys = keys[present]
+        return keys, math.prod(cards)
 
     def distinct_keys(self, attributes: Sequence[str]) -> np.ndarray | None:
         """Sorted distinct radix keys over ``attributes``, or ``None``.
@@ -546,21 +555,26 @@ class PatternCounter:
         The batched sizing kernel of the search driver: equivalent to
         ``[self.label_size(S) for S in attribute_sets]`` — the scalar
         path stays as the parity reference.  Keys are accumulated over
-        the shared cached ``int64`` columns, and consecutive sets
-        sharing every attribute but the last (lattice siblings, which
-        both the top-down BFS and ``itertools.combinations`` emit
-        adjacently) reuse the prefix's Horner keys: each such child
-        costs one multiply-add over the rows instead of ``|S|``.  Only
-        the latest prefix is kept alive.  Distinct combinations are
-        counted with one dense ``bincount`` while the radix key space
-        stays small (see :func:`_dense_radix`), else by a sort.  Results
-        land in (and are served from) the same per-set cache as
-        :meth:`label_size`.  Missing-value relations and 64-bit radix
-        overflows fall back to the scalar path per subset.
+        cached ``int64`` columns (see :meth:`_sizing_column`): those of
+        the distinct full rows once :meth:`distinct_full_rows` is cached
+        — ``|P_S|`` depends only on the *set* of distinct rows, and the
+        search builds that table for ``P_A`` anyway — else those of the
+        data rows.  Consecutive sets sharing every attribute but the
+        last (lattice siblings, which both the top-down BFS and
+        ``itertools.combinations`` emit adjacently) reuse the prefix's
+        Horner keys: each such child costs one multiply-add over the
+        rows instead of ``|S|``.  Only the latest prefix is kept alive.
+        Distinct combinations are counted with one dense ``bincount``
+        while the radix key space stays small (see
+        :func:`_dense_radix`), else by a sort.  Results land in (and are
+        served from) the same per-set cache as :meth:`label_size`.
+        Missing-value relations and 64-bit radix overflows fall back to
+        the scalar path per subset.
         """
         schema = self._dataset.schema
         requested = [tuple(attrs) for attrs in attribute_sets]
         out = np.empty(len(requested), dtype=np.int64)
+        column_of = self._sizing_column
         head: tuple[str, ...] | None = None
         head_keys: np.ndarray | None = None
         head_radix = 1
@@ -577,10 +591,14 @@ class PatternCounter:
                 else:
                     if attrs[:-1] != head:
                         head = attrs[:-1]
-                        head_keys, head_radix = (
-                            self._horner_keys(head) if head else (None, 1)
+                        head_cards = [schema[a].cardinality for a in head]
+                        head_keys = (
+                            _horner(map(column_of, head), head_cards)
+                            if head
+                            else None
                         )
-                    column, _present = self._column64(attrs[-1])
+                        head_radix = math.prod(head_cards)
+                    column = column_of(attrs[-1])
                     card = schema[attrs[-1]].cardinality
                     if head_keys is None:
                         keys = column
@@ -595,6 +613,22 @@ class PatternCounter:
                 self._label_sizes[attrs] = size
             out[position] = size
         return out
+
+    def _sizing_column(self, attribute: str) -> np.ndarray:
+        """``attribute``'s read-only ``int64`` column for sizing.
+
+        Taken from the distinct full rows when :meth:`distinct_full_rows`
+        is cached (compas: 43,744 distinct of 60,843 rows), else the data
+        column of :meth:`_column64`.  Only called on relations without
+        missing values, where every row is a full row.
+        """
+        if self._full_rows is None:
+            return self._column64(attribute)[0]
+        if self._full_codes64 is None:
+            codes = np.asfortranarray(self._full_rows[0], dtype=np.int64)
+            codes.setflags(write=False)
+            self._full_codes64 = codes
+        return self._full_codes64[:, self._dataset.schema.position(attribute)]
 
     def _key_table(
         self, attributes: tuple[str, ...]

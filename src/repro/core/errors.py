@@ -16,7 +16,8 @@ hot loop of the search algorithms.  :class:`BatchLabelEvaluator` amortizes
 that loop across *many* candidate subsets: the pattern set is encoded
 once (code groups, per-attribute independence-factor columns) and every
 candidate is then scored with one base-count lookup plus cached factor
-multiplies.  :func:`scan_max_abs_error` implements the paper's
+multiplies — on ``P_A``, one weighted ``bincount`` over the distinct
+rows.  :func:`scan_max_abs_error` implements the paper's
 early-termination scan (Section IV-C): patterns are visited in decreasing
 count order and the scan stops once the next count falls below the
 running maximum error.
@@ -31,7 +32,13 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.counts import PatternCounter, as_counter
+from repro.core.counts import (
+    PatternCounter,
+    _dense_radix,
+    _horner,
+    as_counter,
+    radix_fits,
+)
 from repro.core.estimator import LabelEstimator
 from repro.core.label import Label, build_label
 from repro.core.pattern import (
@@ -40,6 +47,7 @@ from repro.core.pattern import (
     split_by_ranges,
 )
 from repro.core.patternsets import PatternSet, full_pattern_set
+from repro.dataset.table import combine_codes
 
 __all__ = [
     "absolute_error",
@@ -102,15 +110,39 @@ class ErrorSummary:
             raise ValueError("true counts / estimates length mismatch")
         if true_counts.size == 0:
             return cls(0, 0.0, 0.0, 0.0, 1.0, 1.0)
-        abs_errors = np.abs(true_counts - estimates)
-        # q-error on integral estimates with the est=0 -> 1 guard (see
-        # q_error); absolute error stays on the raw estimates.
-        rounded = np.rint(estimates)
-        guarded_est = np.where(rounded > 0, rounded, 1.0)
-        guarded_true = np.where(true_counts > 0, true_counts, 1.0)
-        q_errors = np.maximum(
-            guarded_true / guarded_est, guarded_est / guarded_true
+        return cls._from_true_side(
+            true_counts, _guarded_true(true_counts), estimates
         )
+
+    @classmethod
+    def _from_true_side(
+        cls,
+        true_counts: np.ndarray,
+        guarded_true: np.ndarray,
+        estimates: np.ndarray,
+        scratch: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    ) -> "ErrorSummary":
+        """:meth:`from_arrays` over a non-empty ``float64`` batch whose
+        true-count side (``guarded_true``, see :func:`_guarded_true`)
+        was computed once for many estimate vectors.  ``scratch`` holds
+        three arrays shaped like ``estimates`` that the computation
+        overwrites; a caller scoring many vectors passes the same three
+        each time, which saves six array allocations per summary (most
+        of its cost at ``P_A`` sizes)."""
+        abs_errors, guarded_est, q_errors = (
+            _summary_scratch(estimates.size) if scratch is None else scratch
+        )
+        np.subtract(true_counts, estimates, out=abs_errors)
+        np.abs(abs_errors, out=abs_errors)
+        # q-error on integral estimates with the est=0 -> 1 guard (see
+        # q_error); absolute error stays on the raw estimates.  Rounded
+        # estimates are integral, so fmax(., 1) maps exactly the ones
+        # that are not > 0 (NaN included) to 1.
+        np.rint(estimates, out=guarded_est)
+        np.fmax(guarded_est, 1.0, out=guarded_est)
+        np.divide(guarded_true, guarded_est, out=q_errors)
+        np.divide(guarded_est, guarded_true, out=guarded_est)
+        np.maximum(q_errors, guarded_est, out=q_errors)
         return cls(
             n_patterns=int(true_counts.size),
             max_abs=float(abs_errors.max()),
@@ -123,6 +155,16 @@ class ErrorSummary:
     def max_abs_fraction(self, total: int) -> float:
         """Max absolute error as a fraction of the data size (Fig. 4 y-axis)."""
         return self.max_abs / total if total else 0.0
+
+
+def _guarded_true(true_counts: np.ndarray) -> np.ndarray:
+    """True counts with the q-error zero guard (``0 -> 1``) applied."""
+    return np.where(true_counts > 0, true_counts, 1.0)
+
+
+def _summary_scratch(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three work arrays of :meth:`ErrorSummary._from_true_side`."""
+    return (np.empty(size), np.empty(size), np.empty(size))
 
 
 class Objective(enum.Enum):
@@ -363,9 +405,23 @@ class BatchLabelEvaluator:
     * per group and attribute, the independence-factor column
       ``fractions(A)[codes]`` is computed lazily and cached — candidates
       share these columns, which is where the batched pass wins;
-    * each :meth:`evaluate` call then costs one batched base lookup per
-      group (through the counting kernel's cached key tables) plus cached
-      column multiplies.
+    * the true-count side of every :class:`ErrorSummary` is computed
+      once.
+
+    When ``P`` is the counter's own ``P_A`` (tabular over every
+    attribute of a relation without missing values, rows and counts
+    equal to :meth:`~repro.core.counts.PatternCounter.distinct_full_rows`),
+    its rows are exactly the data's distinct rows and its counts their
+    multiplicities, so ``c_D(p|_S)`` of every pattern is one weighted
+    ``bincount`` of the patterns' own Horner keys over ``S`` — no data
+    pass and no query re-encoding.  The factors are then multiplied in
+    place in attribute order, so estimates are bit-identical to
+    :func:`evaluate_label`, and nothing is retained per candidate.
+    Other sets cost one batched base lookup per group (through the
+    counting kernel) plus the cached column multiplies; their estimates
+    are memoized by ``(group, S ∩ group)``, which repeats across
+    candidates only for groups narrower than the candidates' attribute
+    space.
 
     Relations with missing values fall back to the exact per-label path
     of :func:`evaluate_label` (their partial-support ``PC`` keys are not
@@ -386,18 +442,30 @@ class BatchLabelEvaluator:
         self._vectorizable = pattern_set.is_tabular or (
             not counter.dataset.has_missing
         )
+        self._true = np.asarray(pattern_set.counts, dtype=np.float64)
+        self._guarded_true = _guarded_true(self._true)
+        # Work arrays of every summary (see ErrorSummary._from_true_side),
+        # so an evaluator must not be shared between threads.
+        self._scratch = _summary_scratch(len(pattern_set))
+        # P_A's rows as int64, column-major (the weighted path's key
+        # columns); None for any other pattern set.
+        self._full_codes: np.ndarray | None = None
+        if _is_full_pattern_set(counter, pattern_set):
+            self._full_codes = np.asfortranarray(
+                pattern_set.combos, dtype=np.int64
+            )
         # Each group: (attribute tuple, code matrix, target indices).
-        self._groups: list[tuple[tuple[str, ...], np.ndarray, np.ndarray]] = []
+        self._groups: list[
+            tuple[tuple[str, ...], np.ndarray, np.ndarray | slice]
+        ] = []
         # Range-bearing groups: (attribute order, runs rows, indices).
         self._range_groups: list[
             tuple[tuple[str, ...], list, np.ndarray]
         ] = []
         self._fraction_columns: dict[tuple[int, str], np.ndarray] = {}
         self._range_fraction_columns: dict[tuple[int, str], np.ndarray] = {}
-        # (group index, shared attribute tuple) -> estimate vector.  The
-        # estimates of a group are fully determined by which of its
-        # attributes the candidate covers, and candidate subsets overlap
-        # heavily, so most evaluate() calls are pure cache hits.
+        # (group index, shared attribute tuple) -> estimate vector, for
+        # pattern sets other than P_A (see the class docstring).
         self._group_estimates: dict[
             tuple[int, tuple[str, ...]], np.ndarray
         ] = {}
@@ -415,7 +483,7 @@ class BatchLabelEvaluator:
                 (
                     pattern_set.attributes,
                     np.asarray(pattern_set.combos),
-                    np.arange(len(pattern_set)),
+                    slice(None),  # one group covers the set: a plain copy
                 )
             )
         else:
@@ -485,6 +553,31 @@ class BatchLabelEvaluator:
             self._range_fraction_columns[key] = column
         return column
 
+    def _weighted_base(self, positions: list[int]) -> np.ndarray:
+        """``c_D(p|_S)`` of every ``P_A`` pattern, ``S`` at ``positions``.
+
+        Summing the ``P_A`` counts of the rows that share a key over
+        ``S`` gives the count exactly (integer-valued ``float64`` sums),
+        the same value the counting kernel returns.
+        """
+        assert self._full_codes is not None
+        attrs = self._groups[0][0]
+        schema = self._counter.dataset.schema
+        shared = [attrs[i] for i in positions]
+        cards = [schema[a].cardinality for a in shared]
+        if radix_fits(schema, shared):
+            keys = _horner((self._full_codes[:, i] for i in positions), cards)
+            radix = math.prod(cards)
+        else:
+            keys = combine_codes(self._full_codes[:, positions], cards)
+            radix = None
+        if radix is not None and _dense_radix(radix, keys.size):
+            sums = np.bincount(keys, weights=self._true, minlength=radix)
+        else:
+            _, keys = np.unique(keys, return_inverse=True)
+            sums = np.bincount(keys, weights=self._true)
+        return sums[keys]
+
     def estimates(self, label_attributes: Sequence[str]) -> np.ndarray:
         """``Est(p, L_S(D))`` for every pattern of the set, batched."""
         if not self._vectorizable:
@@ -500,22 +593,27 @@ class BatchLabelEvaluator:
             if cached is not None:
                 out[indices] = cached
                 continue
-            if shared:
-                positions = [attrs.index(a) for a in shared]
-                estimates = self._counter.counts_for_codes(
-                    shared, combos[:, positions]
-                ).astype(np.float64)
-            else:
+            positions = [attrs.index(a) for a in shared]
+            if not shared:
                 estimates = np.full(
                     combos.shape[0], float(self._counter.total_rows)
                 )
+            elif self._full_codes is not None:
+                estimates = self._weighted_base(positions)
+            else:
+                estimates = self._counter.counts_for_codes(
+                    shared, combos[:, positions]
+                ).astype(np.float64)
             for position, attribute in enumerate(attrs):
                 if attribute in label_set:
                     continue
-                estimates = estimates * self._fraction_column(
-                    group_index, attribute, position
+                np.multiply(
+                    estimates,
+                    self._fraction_column(group_index, attribute, position),
+                    out=estimates,
                 )
-            self._group_estimates[(group_index, shared)] = estimates
+            if self._full_codes is None:
+                self._group_estimates[(group_index, shared)] = estimates
             out[indices] = estimates
         for group_index, (order, runs_rows, indices) in enumerate(
             self._range_groups
@@ -541,8 +639,12 @@ class BatchLabelEvaluator:
             for position, attribute in enumerate(order):
                 if attribute in label_set:
                     continue
-                estimates = estimates * self._range_fraction_column(
-                    group_index, attribute, position
+                np.multiply(
+                    estimates,
+                    self._range_fraction_column(
+                        group_index, attribute, position
+                    ),
+                    out=estimates,
                 )
             self._range_group_estimates[(group_index, shared)] = estimates
             out[indices] = estimates
@@ -558,7 +660,34 @@ class BatchLabelEvaluator:
         if not self._vectorizable:
             return evaluate_label(self._counter, label, self._pattern_set)
         estimates = self.estimates(attributes)
-        return ErrorSummary.from_arrays(self._pattern_set.counts, estimates)
+        if estimates.size == 0:
+            return ErrorSummary.from_arrays(self._true, estimates)
+        return ErrorSummary._from_true_side(
+            self._true, self._guarded_true, estimates, self._scratch
+        )
+
+
+def _is_full_pattern_set(counter, pattern_set: PatternSet) -> bool:
+    """True when ``pattern_set`` is ``counter``'s own ``P_A``.
+
+    Then its rows are exactly the data's distinct rows and its counts
+    their multiplicities — the precondition of the weighted-``bincount``
+    base term of :class:`BatchLabelEvaluator`.  The cheap structural
+    checks run first, then a comparison with the cached
+    :meth:`~repro.core.counts.PatternCounter.distinct_full_rows`.
+    """
+    dataset = counter.dataset
+    if (
+        not pattern_set.is_tabular
+        or dataset.has_missing
+        or tuple(pattern_set.attributes) != tuple(dataset.attribute_names)
+        or int(pattern_set.counts.sum()) != counter.total_rows
+    ):
+        return False
+    combos, counts = counter.distinct_full_rows()
+    return np.array_equal(pattern_set.combos, combos) and np.array_equal(
+        pattern_set.counts, counts
+    )
 
 
 def evaluate_labels(

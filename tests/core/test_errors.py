@@ -1,10 +1,15 @@
 """Unit tests for :mod:`repro.core.errors`."""
 
+import gc
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.core.counts import PatternCounter
 from repro.core.errors import (
+    BatchLabelEvaluator,
     ErrorSummary,
     Objective,
     absolute_error,
@@ -17,6 +22,7 @@ from repro.core.estimator import LabelEstimator
 from repro.core.label import build_label
 from repro.core.pattern import Pattern
 from repro.core.patternsets import PatternSet, full_pattern_set
+from repro.dataset.table import Dataset
 
 
 class TestScalarMetrics:
@@ -183,3 +189,47 @@ class TestEarlyTerminationScan:
         )
         with pytest.raises(ValueError, match="tabular"):
             scan_max_abs_error(counter, ("gender",), explicit)
+
+
+class TestEvaluatorMemory:
+    def test_full_pattern_set_retains_nothing_per_candidate(self):
+        """Scoring candidates against ``P_A`` keeps no estimate vector
+        per candidate: the bytes an evaluator retains after every 2- and
+        3-subset stay within a budget of two estimate vectors, however
+        many candidates were scored (a per-candidate memo would retain
+        one vector each — 84 here)."""
+        rng = np.random.default_rng(7)
+        names = [f"A{i}" for i in range(8)]
+        data = Dataset.from_columns(
+            {
+                name: [f"v{c}" for c in rng.integers(0, 6, size=20_000)]
+                for name in names
+            }
+        )
+        counter = PatternCounter(data)
+        pattern_set = full_pattern_set(counter)
+        vector_bytes = 8 * len(pattern_set)
+        evaluator = BatchLabelEvaluator(counter, pattern_set)
+        # Warm-up: every lazily built per-attribute column (each
+        # attribute both inside and outside some candidate).
+        for name in names:
+            evaluator.evaluate((name,))
+        candidates = [
+            subset
+            for k in (2, 3)
+            for subset in itertools.combinations(names, k)
+        ]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            summaries = [evaluator.evaluate(c) for c in candidates]
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(summaries) == 84
+        assert retained < 2 * vector_bytes, (
+            f"{retained} B retained over {len(candidates)} candidates "
+            f"({vector_bytes} B per estimate vector)"
+        )

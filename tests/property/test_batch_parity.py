@@ -28,7 +28,11 @@ from repro import (
 )
 from repro.api import RegistryError, make_estimator, registered_estimators
 from repro.api.registry import estimate_many as registry_estimate_many
-from repro.core.errors import BatchLabelEvaluator, evaluate_labels
+from repro.core.errors import (
+    BatchLabelEvaluator,
+    ErrorSummary,
+    evaluate_labels,
+)
 from repro.core.pattern import OPS, Predicate
 from repro.core.patternsets import PatternSet, full_pattern_set
 
@@ -273,6 +277,179 @@ def test_batched_evaluation_matches_scalar_estimator_mixed(data_strategy):
         assert getattr(batch_summary, field) == pytest.approx(
             getattr(plain_summary, field), rel=1e-9
         ), field
+
+
+# -- the P_A weighted-bincount path ---------------------------------------------
+
+
+@st.composite
+def duplicated_datasets(draw, allow_missing=False):
+    """A relation whose rows repeat a handful of template tuples.
+
+    Small domains (cardinality 1 included) plus few templates give
+    heavy row duplication, so the distinct-row table ``P_A`` is much
+    smaller than the relation and its counts are far from 1.
+    """
+    n_attrs = draw(st.integers(2, 5))
+    names = [f"A{i}" for i in range(n_attrs)]
+    domain_sizes = [draw(st.integers(1, 3)) for _ in range(n_attrs)]
+    values = [
+        [f"v{j}" for j in range(size)] + ([None] if allow_missing else [])
+        for size in domain_sizes
+    ]
+    templates = draw(
+        st.lists(
+            st.tuples(*(st.sampled_from(v) for v in values)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    rows = draw(st.lists(st.sampled_from(templates), min_size=1, max_size=80))
+    columns = {
+        name: [row[i] for row in rows] for i, name in enumerate(names)
+    }
+    domains = {
+        name: tuple(f"v{j}" for j in range(size))
+        for name, size in zip(names, domain_sizes)
+    }
+    return Dataset.from_columns(columns, domains=domains)
+
+
+def _lattice(data: Dataset) -> list[tuple[str, ...]]:
+    names = list(data.attribute_names)
+    return [
+        subset
+        for k in range(0, len(names) + 1)
+        for subset in itertools.combinations(names, k)
+    ]
+
+
+class _CountingSpy:
+    """Counts the evaluator's calls into the counter's batch kernels."""
+
+    def __init__(self, monkeypatch, counter: PatternCounter) -> None:
+        self.calls = 0
+        for name in ("counts_for_codes", "counts_for_runs"):
+            kernel = getattr(counter, name)
+
+            def spy(*args, _kernel=kernel, **kwargs):
+                self.calls += 1
+                return _kernel(*args, **kwargs)
+
+            monkeypatch.setattr(counter, name, spy)
+
+
+@SETTINGS
+@given(st.data())
+def test_full_pattern_set_path_matches_generic_and_scalar(data_strategy):
+    """On ``P_A`` the evaluator's weighted bincount (no counter data
+    pass) equals ``evaluate_label``'s kernel path exactly, and the
+    per-pattern ``LabelEstimator`` to rounding, for every subset."""
+    data = data_strategy.draw(duplicated_datasets())
+    counter = PatternCounter(data)
+    pattern_set = full_pattern_set(counter)
+    reference_counter = PatternCounter(data)
+    reference_set = full_pattern_set(reference_counter)
+    patterns = [p for p, _ in reference_set.iter_with_counts()]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        spy = _CountingSpy(monkeypatch, counter)
+        evaluator = BatchLabelEvaluator(counter, pattern_set)
+        for subset in _lattice(data):
+            summary = evaluator.evaluate(subset)
+            assert summary == evaluate_label(
+                reference_counter, subset, reference_set
+            ), subset
+            estimator = LabelEstimator(build_label(reference_counter, subset))
+            scalar = ErrorSummary.from_arrays(
+                reference_set.counts,
+                [estimator.estimate(p) for p in patterns],
+            )
+            for field in ("n_patterns", "max_abs", "mean_abs", "max_q",
+                          "mean_q"):
+                assert getattr(summary, field) == pytest.approx(
+                    getattr(scalar, field), rel=1e-9, abs=1e-9
+                ), (subset, field)
+        assert spy.calls == 0
+
+
+@SETTINGS
+@given(st.data())
+def test_general_path_kept_for_missing_values_and_workloads(data_strategy):
+    """Missing-value relations, workload sets and tabular sets that are
+    not the counter's own ``P_A`` go through the counting kernel, with
+    the results of ``evaluate_label``."""
+    allow_missing = data_strategy.draw(st.booleans())
+    data = data_strategy.draw(duplicated_datasets(allow_missing=allow_missing))
+    counter = PatternCounter(data)
+    full = full_pattern_set(counter)
+    workload = PatternSet.from_patterns(
+        counter, data_strategy.draw(workloads(data))
+    )
+    pattern_sets = [workload]
+    if data.has_missing:
+        pattern_sets.append(full)
+    if len(full) > 1:
+        # P_A's rows in reverse: same patterns, not the cached table.
+        pattern_sets.append(
+            PatternSet(
+                attributes=full.attributes,
+                combos=full.combos[::-1],
+                counts=full.counts[::-1],
+                patterns=None,
+                counter=counter,
+            )
+        )
+    subsets = [s for s in _lattice(data) if s]
+    for pattern_set in pattern_sets:
+        reference = [
+            evaluate_label(PatternCounter(data), subset, pattern_set)
+            for subset in subsets
+        ]
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            spy = _CountingSpy(monkeypatch, counter)
+            evaluator = BatchLabelEvaluator(counter, pattern_set)
+            assert [evaluator.evaluate(s) for s in subsets] == reference
+            if not data.has_missing or pattern_set.is_tabular:
+                assert spy.calls > 0
+
+
+def test_duplicate_rows_summing_to_total_are_not_p_a():
+    """A full-width set whose counts sum to ``|D|`` but repeats a row is
+    not ``P_A``: the weighted bincount would double its base count."""
+    data = Dataset.from_columns(
+        {"A": ["x", "x", "y", "y"], "B": ["u", "u", "u", "u"]}
+    )
+    counter = PatternCounter(data)
+    full = full_pattern_set(counter)
+    doubled = PatternSet(
+        attributes=full.attributes,
+        combos=np.repeat(full.combos[:1], 2, axis=0),
+        counts=np.array([2, 2]),
+        patterns=None,
+        counter=counter,
+    )
+    for subset in (("A",), ("B",), ("A", "B")):
+        batch = BatchLabelEvaluator(counter, doubled).estimates(subset)
+        assert list(batch) == [2.0, 2.0], subset
+
+
+@SETTINGS
+@given(st.data())
+def test_label_size_many_over_distinct_rows(data_strategy):
+    """Sizing reads the data rows until ``distinct_full_rows()`` is
+    cached and the distinct rows after; both equal scalar sizing."""
+    data = data_strategy.draw(
+        duplicated_datasets(allow_missing=data_strategy.draw(st.booleans()))
+    )
+    lattice = [s for s in _lattice(data) if s]
+    shuffled = data_strategy.draw(st.permutations(lattice))
+    reference = PatternCounter(data)
+    expected = [reference.label_size(s) for s in lattice + list(shuffled)]
+    cold = PatternCounter(data)
+    assert list(cold.label_size_many(lattice + list(shuffled))) == expected
+    warm = PatternCounter(data)
+    warm.distinct_full_rows()
+    assert list(warm.label_size_many(lattice + list(shuffled))) == expected
 
 
 # -- estimate vs estimate_many across every registered backend ------------------

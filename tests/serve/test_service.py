@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -352,8 +355,6 @@ class TestKeepAliveDiscipline:
     reusing the connection would otherwise read garbage next."""
 
     def test_connection_survives_an_error_response(self, service, session):
-        import http.client
-
         connection = http.client.HTTPConnection(
             service.host, service.port, timeout=10
         )
@@ -385,6 +386,39 @@ class TestKeepAliveDiscipline:
         finally:
             connection.close()
 
+    def test_keep_alive_requests_do_not_stall(self, service, session):
+        """Without TCP_NODELAY a response written as headers, then body
+        waits on the client's delayed ACK (Nagle, RFC 896 / RFC 1122):
+        ~40 ms per keep-alive request on Linux."""
+        connection = http.client.HTTPConnection(
+            service.host, service.port, timeout=10
+        )
+        body = json.dumps({"pattern": {"gender": "Female"}})
+        headers = {"Content-Type": "application/json"}
+        expected = [session.estimate(Pattern({"gender": "Female"}))]
+        try:
+            connection.request(
+                "POST", "/labels/compas/estimate", body=body, headers=headers
+            )
+            connection.getresponse().read()  # connection is warm
+            start = time.perf_counter()
+            for _ in range(20):
+                connection.request(
+                    "POST",
+                    "/labels/compas/estimate",
+                    body=body,
+                    headers=headers,
+                )
+                response = connection.getresponse()
+                assert response.status == 200
+                payload = json.loads(response.read().decode())
+                assert payload["estimates"] == expected
+            elapsed = time.perf_counter() - start
+        finally:
+            connection.close()
+        # A stalled connection needs >= 20 x 40 ms = 0.8 s.
+        assert elapsed < 0.4, f"20 keep-alive requests took {elapsed:.3f} s"
+
     def test_label_names_with_url_special_characters(self, session):
         from urllib.parse import quote
 
@@ -396,6 +430,62 @@ class TestKeepAliveDiscipline:
                 {"pattern": {"gender": "Female"}},
             )
         assert payload["label"] == "my label"
+
+
+def _raw_request(service, head: bytes, body: bytes = b"") -> bytes:
+    """Send raw bytes on a fresh socket; return everything read back
+    until the server closes the connection."""
+    with socket.create_connection(
+        (service.host, service.port), timeout=10
+    ) as sock:
+        sock.sendall(head + b"\r\n\r\n" + body)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+class TestHostileInput:
+    @pytest.mark.parametrize("length", [b"abc", b"-5", b"1e3", b""])
+    def test_invalid_content_length_is_typed_400(
+        self, service, capfd, length
+    ):
+        raw = _raw_request(
+            service,
+            b"POST /labels/compas/estimate HTTP/1.1\r\n"
+            b"Host: localhost\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Content-Length: " + length,
+            b'{"pattern": {"gender": "Female"}}',
+        )
+        head, _, payload = raw.partition(b"\r\n\r\n")
+        status_line, *header_lines = head.decode("latin-1").split("\r\n")
+        assert status_line.split()[1] == "400", raw
+        # The body's extent is unknown, so the connection cannot be
+        # reused: the server says so and closes it.
+        assert "connection: close" in [h.lower() for h in header_lines]
+        error = json.loads(payload.decode())["error"]
+        assert error["code"] == "bad_request"
+        assert "Content-Length" in error["message"]
+        assert "Traceback" not in capfd.readouterr().err
+
+    def test_valid_content_length_still_served(self, service, session):
+        body = b'{"pattern": {"gender": "Female"}}'
+        raw = _raw_request(
+            service,
+            b"POST /labels/compas/estimate HTTP/1.1\r\n"
+            b"Host: localhost\r\n"
+            b"Connection: close\r\n"
+            b"Content-Length: " + str(len(body)).encode(),
+            body,
+        )
+        head, _, payload = raw.partition(b"\r\n\r\n")
+        assert head.split()[1] == b"200", raw
+        assert json.loads(payload.decode())["estimates"] == [
+            session.estimate(Pattern({"gender": "Female"}))
+        ]
 
 
 class TestScaleOutService:
